@@ -5,11 +5,13 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"asyncmg/internal/amg"
 	"asyncmg/internal/fem"
 	"asyncmg/internal/grid"
 	"asyncmg/internal/mg"
+	"asyncmg/internal/pace"
 	"asyncmg/internal/smoother"
 )
 
@@ -384,6 +386,59 @@ func TestCriterion1FinishedGridsLeaveOthersRunning(t *testing.T) {
 	}
 	if res.Diverged {
 		t.Error("diverged")
+	}
+}
+
+func TestAsyncLeadStaysBounded(t *testing.T) {
+	// Pacing invariant: at every applied correction of a criterion-1 run,
+	// the correction's index exceeds the slowest other unfinished grid's
+	// count by at most pace.DefaultLead. The fine team is slowed on
+	// purpose (a sleep after each of its corrections), so an unpaced
+	// runtime would let the coarse teams run ahead under any scheduler,
+	// on one core or many; the assertion is on the schedule itself, not
+	// on a residual.
+	var mu sync.Mutex
+	var maxLead []int
+	var seen []int
+	debugTrace = func(grid, it, slowest int) {
+		mu.Lock()
+		seen[grid]++
+		if lead := it - slowest; lead > maxLead[grid] {
+			maxLead[grid] = lead
+		}
+		mu.Unlock()
+		if grid == 0 {
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
+	defer func() { debugTrace = nil }()
+	for _, n := range []int{8, 10} {
+		s := buildSetup(t, n, smoother.WJacobi)
+		l := s.NumLevels()
+		b := grid.RandomRHS(s.LevelSize(0), 19)
+		for _, m := range []mg.Method{mg.Multadd, mg.AFACx} {
+			maxLead, seen = make([]int, l), make([]int, l)
+			const cycles = 30
+			res, err := Solve(context.Background(), s, b, Config{
+				Method: m, Write: AtomicWrite, Res: LocalRes,
+				Criterion: Criterion1, Threads: l + 1, MaxCycles: cycles,
+			})
+			if err != nil {
+				t.Fatalf("n=%d %v: %v", n, m, err)
+			}
+			for k := 0; k < l; k++ {
+				if res.Corrections[k] != cycles {
+					t.Errorf("n=%d %v: grid %d corrections %d, want %d", n, m, k, res.Corrections[k], cycles)
+				}
+				if seen[k] == 0 {
+					t.Errorf("n=%d %v: no lead recorded for grid %d", n, m, k)
+				}
+				if maxLead[k] > pace.DefaultLead {
+					t.Errorf("n=%d %v: grid %d ran %d corrections ahead of the slowest unfinished grid, bound %d",
+						n, m, k, maxLead[k], pace.DefaultLead)
+				}
+			}
+		}
 	}
 }
 

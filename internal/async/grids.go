@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"asyncmg/internal/op"
+	"asyncmg/internal/pace"
 	"asyncmg/internal/smoother"
 )
 
@@ -23,22 +24,30 @@ func (rt *solverState) fineAtomic() op.AtomicResidualer {
 // refresh its residual via the configured local-res / global-res /
 // residual-based scheme. Teams never synchronize with each other (all
 // Sync() calls involve only teammates), except through the atomic global
-// vectors — that is the paper's definition of asynchronous multigrid.
+// vectors — that is the paper's definition of asynchronous multigrid. The
+// one cross-team rule is pacing: a team more than pace.DefaultLead
+// corrections ahead of the slowest unfinished grid waits at its cycle top
+// (the bounded delay the paper's full-async model assumes).
 func (g *gridRun) runAsync(tid int) {
 	rt := g.rt
 	myCount := 0
 	for {
 		if tid == 0 {
-			switch rt.cfg.Criterion {
-			case Criterion1:
-				g.stopLocal = myCount >= rt.cfg.MaxCycles
-			default:
-				g.stopLocal = rt.stop.Load()
-			}
-			// Context cancellation and the rollback-last abort stop every
-			// team at the next cycle boundary regardless of criterion.
-			if rt.ctx.Err() != nil || rt.abort.Load() {
-				g.stopLocal = true
+			// Pace the team: while it is more than pace.DefaultLead
+			// corrections ahead of the slowest other unfinished grid, hold
+			// it here, before the team barrier, yielding to the teams it
+			// waits for. This is distmem's MaxLead rule with its default:
+			// it keeps the paper's bounded-delay assumption (every grid
+			// keeps correcting) true on any number of cores, where the OS
+			// scheduler alone lets a one-thread coarse team run through
+			// its corrections before the fine team is scheduled. The
+			// slowest grid is never held, so pacing cannot deadlock, and
+			// a stop (criterion, ctx, abort) releases the wait.
+			g.stopLocal = g.stopAt(myCount)
+			for !g.stopLocal && !pace.Within(len(rt.corrCount), g.k, myCount,
+				rt.cfg.MaxCycles, pace.DefaultLead, rt.count) {
+				runtime.Gosched()
+				g.stopLocal = g.stopAt(myCount)
 			}
 			// Publish the controller's pending ω before the barrier so
 			// every teammate reads the same factor this cycle.
@@ -102,17 +111,47 @@ func (g *gridRun) runAsync(tid int) {
 					rt.stop.Store(true)
 				}
 			}
+			if debugTrace != nil {
+				if slow, ok := pace.Slowest(len(rt.corrCount), g.k, rt.cfg.MaxCycles, rt.count); ok {
+					debugTrace(g.k, myCount-1, slow)
+				}
+			}
 		}
-		// Yield between corrections. On machines with fewer cores than
+		// Yield between corrections so that, with fewer cores than
 		// goroutines (the paper itself oversubscribes 272 threads on 68
-		// cores) run-to-completion scheduling would let a one-thread team
-		// burn through every correction against a frozen residual — the
-		// degenerate "unbalanced corrections" regime in which the paper
-		// notes grid-independent convergence is lost. A cooperative yield
-		// restores the fair interleaving a real parallel machine provides.
+		// cores), other teams get to run between this team's corrections.
+		// The yield only spreads the work; correction balance is enforced
+		// by the pacing wait at the cycle top, not left to the scheduler.
 		runtime.Gosched()
 	}
 }
+
+// stopAt is thread 0's break decision for a team that has applied count
+// corrections: the stopping criterion, or context cancellation or the
+// rollback-last abort, which stop every team at the next cycle boundary
+// regardless of criterion.
+func (g *gridRun) stopAt(count int) bool {
+	rt := g.rt
+	if rt.ctx.Err() != nil || rt.abort.Load() {
+		return true
+	}
+	if rt.cfg.Criterion == Criterion1 {
+		return count >= rt.cfg.MaxCycles
+	}
+	return rt.stop.Load()
+}
+
+// count returns grid j's applied-correction count. For pacing, a grid
+// that has done MaxCycles corrections counts as finished.
+func (rt *solverState) count(j int) int { return int(rt.corrCount[j].Load()) }
+
+// debugTrace, when non-nil, receives (grid, it, slowest) after every
+// correction an asynchronous team applies while some other grid is still
+// unfinished: it is the applied correction's 0-based index and slowest the
+// smallest correction count among the other unfinished grids at that
+// instant, so it − slowest is the grid's lead. Called on the team's thread
+// 0. Test-only hook.
+var debugTrace func(grid, it, slowest int)
 
 // runSync is the per-thread body of the synchronous additive baselines
 // ("sync Multadd" / "sync AFACx" in Table I): every cycle, all grids

@@ -4,9 +4,11 @@
 // granularity: the matrix rows are block-partitioned over P processes
 // (goroutines), each process relaxes its own rows, and boundary values
 // travel to neighbouring processes through newest-wins halo mailboxes with
-// optional injected latency. No process ever waits for another in
-// asynchronous mode; the iteration converges whenever ρ(|G|) < 1 (see
-// package spectral).
+// optional injected latency. In asynchronous mode there is no barrier:
+// a process waits only when it is more than pace.DefaultLead sweeps ahead
+// of what an unfinished neighbour's newest halo reports, which keeps the
+// delays bounded as the convergence theory assumes; the iteration then
+// converges whenever ρ(|G|) < 1 (see package spectral).
 //
 // The synchronous mode (barrier after every sweep) is the classical Jacobi
 // / block-GS baseline and is bit-reproducible against the serial iteration,
@@ -20,6 +22,7 @@ import (
 	"time"
 
 	"asyncmg/internal/async"
+	"asyncmg/internal/pace"
 	"asyncmg/internal/partition"
 	"asyncmg/internal/sparse"
 	"asyncmg/internal/vec"
@@ -234,25 +237,52 @@ func Solve(a *sparse.CSR, b []float64, cfg Config) (*Result, error) {
 			x := locals[p]
 			rg := pl.ranges[p]
 			old := make([]float64, rg.Len()) // previous owned values (Jacobi)
+			// heard[q] is the newest sweep count a halo from q has
+			// reported. A process p reads no halo from never bounds its
+			// lead, so it starts at Sweeps (finished).
+			heard := make([]int, procs)
+			for q := range heard {
+				if mailboxes[p][q] == nil {
+					heard[q] = cfg.Sweeps
+				}
+			}
+			heardFrom := func(q int) int { return heard[q] }
+			// drain applies whatever halo values have arrived (possibly
+			// none, possibly from several sweeps ahead).
+			drain := func() {
+				for q := 0; q < procs; q++ {
+					ch := mailboxes[p][q]
+					if ch == nil {
+						continue
+					}
+					select {
+					case msg := <-ch:
+						for z, j := range pl.needs[p][q] {
+							x[j] = msg.vals[z]
+						}
+						heard[q] = max(heard[q], int(msg.seq))
+					default:
+					}
+				}
+			}
 			for sweep := 0; sweep < cfg.Sweeps; sweep++ {
-				// Asynchronous mode: drain whatever halo values have
-				// arrived (possibly none, possibly from several sweeps
-				// ahead). Synchronous mode instead exchanges halos in the
-				// barrier-framed protocol at the bottom of the sweep, so a
-				// fast neighbour's current-sweep values can never leak in.
+				// Asynchronous mode: drain the mailboxes, then, while more
+				// than pace.DefaultLead sweeps ahead of what an unfinished
+				// neighbour last reported, yield and drain again. Halos
+				// carry their sender's sweep count, so the pacing needs no
+				// shared state. Without it a process the scheduler runs
+				// first (or one whose halos are delayed) finishes every
+				// sweep against stale neighbour values and stops with its
+				// rows unconverged: Eq. 5's convergence assumes every
+				// process keeps relaxing with bounded delay. Synchronous
+				// mode instead exchanges halos in the barrier-framed
+				// protocol at the bottom of the sweep, so a fast
+				// neighbour's current-sweep values can never leak in.
 				if !cfg.Synchronous {
-					for q := 0; q < procs; q++ {
-						ch := mailboxes[p][q]
-						if ch == nil {
-							continue
-						}
-						select {
-						case msg := <-ch:
-							for z, j := range pl.needs[p][q] {
-								x[j] = msg.vals[z]
-							}
-						default:
-						}
+					drain()
+					for !pace.Within(procs, p, sweep, cfg.Sweeps, pace.DefaultLead, heardFrom) {
+						runtime.Gosched()
+						drain()
 					}
 				}
 				// Relax owned rows.
@@ -294,19 +324,7 @@ func Solve(a *sparse.CSR, b []float64, cfg Config) (*Result, error) {
 					// In synchronous mode every halo message for this sweep
 					// has been posted; drain it before the next sweep so the
 					// iteration is exactly the classical one.
-					for q := 0; q < procs; q++ {
-						ch := mailboxes[p][q]
-						if ch == nil {
-							continue
-						}
-						select {
-						case msg := <-ch:
-							for z, j := range pl.needs[p][q] {
-								x[j] = msg.vals[z]
-							}
-						default:
-						}
-					}
+					drain()
 					barrier.Wait()
 				} else {
 					runtime.Gosched()

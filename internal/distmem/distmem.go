@@ -36,6 +36,7 @@ import (
 	"asyncmg/internal/fault"
 	"asyncmg/internal/mg"
 	"asyncmg/internal/obs"
+	"asyncmg/internal/pace"
 	"asyncmg/internal/vec"
 )
 
@@ -84,7 +85,8 @@ type Config struct {
 	// this-many applied corrections (default 1: after each).
 	BroadcastEvery int
 	// MaxLead bounds how far ahead of the slowest other grid a worker may
-	// run, in corrections (0 means the default of 2). The paper's
+	// run, in corrections (0 means pace.DefaultLead, 2, the bound the
+	// shared-memory runtime in internal/async always applies). The paper's
 	// conclusion notes that grid-independent convergence is lost when the
 	// number of corrections is unbalanced — with one cheap coarse grid and
 	// one expensive fine grid, an unpaced run degenerates to "all coarse
@@ -172,25 +174,12 @@ type Result struct {
 // actionable reports whether worker k, about to compute its it-th
 // correction, may act on a snapshot with the given applied-correction
 // counts: its own previous correction must be reflected, and (for bounded
-// lead) no other unfinished grid may lag more than lead corrections behind.
-// Grids the snapshot reports at maxCorr (finished or retired) do not bound
-// the lead.
+// lead) no other unfinished grid may lag more than lead corrections behind
+// — the pace.Within rule the shared-memory runtime applies too. Grids the
+// snapshot reports at maxCorr (finished or retired) do not bound the lead.
 func actionable(counts []int, k, it, maxCorr, lead int) bool {
-	if counts[k] < it {
-		return false
-	}
-	if lead < 0 {
-		return true
-	}
-	for j, c := range counts {
-		if j == k || c >= maxCorr {
-			continue
-		}
-		if it > c+lead {
-			return false
-		}
-	}
-	return true
+	return counts[k] >= it &&
+		pace.Within(len(counts), k, it, maxCorr, lead, func(j int) int { return counts[j] })
 }
 
 // debugTrace, when non-nil, receives (applied, grid, ‖r‖) after every
@@ -250,7 +239,7 @@ func Solve(ctx context.Context, s *mg.Setup, b []float64, cfg Config) (*Result, 
 	maxCorr := cfg.MaxCorrections
 	lead := cfg.MaxLead
 	if lead == 0 {
-		lead = 2
+		lead = pace.DefaultLead
 	}
 	wdTimeout := cfg.WatchdogTimeout
 	if wdTimeout == 0 {

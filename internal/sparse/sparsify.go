@@ -24,7 +24,7 @@
 // pool. Rows only read A and the precomputed per-row thresholds and
 // write their own output slots, so the sharded result is bitwise
 // identical to the serial one at any worker count. Per-call scratch (the
-// threshold arrays) is recycled through a sync.Pool with an allocation
+// threshold arrays) is recycled through a free list with an allocation
 // counter (SparsifyScratchAllocs), and SparsifyStrengthInto reuses the
 // caller's output storage: steady-state re-sparsification of an
 // unchanged-size operator performs zero heap allocations.
@@ -93,10 +93,16 @@ type sparsifyScratch struct {
 	useAbs []bool
 }
 
-var sparsifyScratchPool = sync.Pool{New: func() any {
-	sparsifyScratchNews.Add(1)
-	return &sparsifyScratch{}
-}}
+// sparsifyScratchFree recycles scratch workspaces through a mutex-guarded
+// free list, not a sync.Pool: a pool empties at every GC and parks a
+// released item in a per-P private slot no other P can reach, so a caller
+// that resumed on another P after the sharded passes would construct a
+// fresh workspace, breaking the zero-allocation contract at random. The
+// list holds at most as many workspaces as there were concurrent calls.
+var sparsifyScratchFree struct {
+	sync.Mutex
+	list []*sparsifyScratch
+}
 
 var sparsifyScratchNews atomic.Int64
 
@@ -107,7 +113,18 @@ var sparsifyScratchNews atomic.Int64
 func SparsifyScratchAllocs() int64 { return sparsifyScratchNews.Load() }
 
 func acquireSparsifyScratch(rows int) *sparsifyScratch {
-	s := sparsifyScratchPool.Get().(*sparsifyScratch)
+	f := &sparsifyScratchFree
+	f.Lock()
+	var s *sparsifyScratch
+	if n := len(f.list); n > 0 {
+		s = f.list[n-1]
+		f.list = f.list[:n-1]
+	}
+	f.Unlock()
+	if s == nil {
+		sparsifyScratchNews.Add(1)
+		s = &sparsifyScratch{}
+	}
 	if cap(s.thresh) < rows {
 		s.thresh = make([]float64, rows)
 		s.useAbs = make([]bool, rows)
@@ -117,7 +134,12 @@ func acquireSparsifyScratch(rows int) *sparsifyScratch {
 	return s
 }
 
-func releaseSparsifyScratch(s *sparsifyScratch) { sparsifyScratchPool.Put(s) }
+func releaseSparsifyScratch(s *sparsifyScratch) {
+	f := &sparsifyScratchFree
+	f.Lock()
+	f.list = append(f.list, s)
+	f.Unlock()
+}
 
 // noDiag marks a row without a stored diagonal: it cannot absorb lumped
 // mass, so it is kept verbatim (and never used as a drop threshold).
